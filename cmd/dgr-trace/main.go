@@ -1,8 +1,11 @@
 // Command dgr-trace runs a program (or a builtin scenario) and emits a
 // Graphviz DOT rendering of the computation graph, with deadlocked
 // vertices highlighted — the tool for visually reproducing the paper's
-// figures. With -jsonl it instead emits the machine's event trace
-// (including the fabric message lifecycle) as JSON Lines.
+// figures. With -jsonl it instead emits the machine's flight recorder —
+// task executions, collector activity, and the fabric message lifecycle —
+// as JSON Lines: each event carries the acting pe (negative for the
+// collector and fabric) and ts in monotonic nanoseconds since the machine
+// started.
 //
 // With -analyze it switches to lineage mode: read an assembled trace
 // document (a /debug/traces.json URL, a file, or "-" for stdin), rebuild
@@ -36,7 +39,6 @@ import (
 	"dgr/internal/analysis"
 	"dgr/internal/graph"
 	"dgr/internal/obs"
-	"dgr/internal/trace"
 	"dgr/internal/workload"
 )
 
@@ -55,7 +57,7 @@ func run() error {
 		pes      = flag.Int("pes", 2, "processing elements")
 		seed     = flag.Int64("seed", 1, "scheduling seed")
 		spec     = flag.Bool("spec", false, "speculative if branches")
-		jsonl    = flag.Bool("jsonl", false, "emit the event trace as JSON Lines instead of DOT")
+		jsonl    = flag.Bool("jsonl", false, "emit the flight-recorder events as JSON Lines instead of DOT")
 		fab      = flag.Bool("fabric", false, "route cross-PE spawns through the simulated fabric")
 		batch    = flag.Int("batch", 0, "fabric batch size (0 = default)")
 		drop     = flag.Float64("drop", 0, "fabric per-transmission drop rate")
@@ -87,7 +89,8 @@ func run() error {
 			Fabric: *fab, BatchSize: *batch, DropRate: *drop, LinkLatency: *latency,
 		}
 		if *jsonl {
-			opts.TraceCapacity = 1 << 18
+			opts.Obs = true
+			opts.ObsFlightCapacity = 1 << 18
 			return dumpJSONL(*expr, opts)
 		}
 		return dumpProgram(*expr, *phase, opts)
@@ -116,7 +119,7 @@ func dumpScenario(name string) error {
 	}
 	fmt.Fprintf(os.Stderr, "scenario %s: |R|=%d |T|=%d |GAR|=%d |DL|=%d\n",
 		name, len(res.R), len(res.T), len(res.Gar), len(res.DLv))
-	return trace.WriteDOT(os.Stdout, sc.Store.Snapshot(), sc.Root, trace.DOTOptions{Highlight: hl})
+	return graph.WriteDOT(os.Stdout, sc.Store.Snapshot(), sc.Root, graph.DOTOptions{Highlight: hl})
 }
 
 func dumpProgram(src, phase string, opts dgr.Options) error {
@@ -127,7 +130,7 @@ func dumpProgram(src, phase string, opts dgr.Options) error {
 		return err
 	}
 	if phase == "before" {
-		return trace.WriteDOT(os.Stdout, m.Snapshot(), root, trace.DOTOptions{})
+		return graph.WriteDOT(os.Stdout, m.Snapshot(), root, graph.DOTOptions{})
 	}
 	v, evalErr := m.EvalNode(root)
 	if evalErr != nil {
@@ -135,11 +138,7 @@ func dumpProgram(src, phase string, opts dgr.Options) error {
 	} else {
 		fmt.Fprintf(os.Stderr, "result: %s\n", v)
 	}
-	hl := map[graph.VertexID]string{}
-	for _, id := range m.Deadlocked() {
-		hl[id] = "salmon"
-	}
-	return trace.WriteDOT(os.Stdout, m.Snapshot(), root, trace.DOTOptions{Highlight: hl})
+	return m.WriteGraphDOT(os.Stdout)
 }
 
 func dumpJSONL(src string, opts dgr.Options) error {
@@ -158,7 +157,7 @@ func dumpJSONL(src string, opts dgr.Options) error {
 				ls.Dropped, ls.Retries, ls.Duplicates, ls.Latency)
 		}
 	}
-	return m.WriteTraceJSONL(os.Stdout)
+	return m.WriteFlightJSONL(os.Stdout)
 }
 
 // analyzeDoc loads an obs.TraceDoc (URL, file, or stdin), reassembles every

@@ -38,7 +38,6 @@ import (
 	"dgr/internal/reduce"
 	"dgr/internal/sched"
 	"dgr/internal/task"
-	"dgr/internal/trace"
 )
 
 // Re-exported result and identifier types.
@@ -116,14 +115,13 @@ type Options struct {
 	// default in parallel mode (an idle PE takes a batch from the tail of
 	// the most-loaded peer's pool) and never applies to deterministic mode.
 	DisableSteal bool
-	// StealBatch caps how many tasks one steal moves (default 32).
-	StealBatch int
 
 	// Fabric routes every cross-partition spawn through a simulated
 	// inter-PE network with batching, latency, loss, and at-least-once
 	// redelivery instead of pushing directly into the destination pool.
 	// The remaining fields tune it (zero values get fabric defaults:
-	// BatchSize 16, FlushEvery 100µs, RetryEvery derived).
+	// BatchSize 16, FlushEvery 100µs). Unacked batches are retransmitted
+	// after 2·FlushEvery + 4·(LinkLatency+Jitter), at least 1ms.
 	Fabric bool
 	// BatchSize flushes a link's outbox at this many buffered tasks.
 	BatchSize int
@@ -137,28 +135,19 @@ type Options struct {
 	LinkLatency time.Duration
 	Jitter      time.Duration
 	ReorderRate float64
-	// RetryEvery is the retransmission timeout for unacked batches.
-	RetryEvery time.Duration
-
-	// TraceCapacity, when positive, retains the last N machine events
-	// (fabric message lifecycle among them) for WriteTraceJSONL.
-	TraceCapacity int
 
 	// Obs enables the unified observability layer (internal/obs): span
 	// tracing of collector phases, per-PE execution batches, and fabric
 	// flights; per-PE time-series with quantile summaries; a flight recorder
-	// of recent scheduler/collector/fabric events; and the Prometheus/JSON
+	// of recent scheduler/collector/fabric events and invariant violations
+	// (the machine's one event log); and the Prometheus/JSON
 	// exposition methods (WriteSpansJSONL, WriteFlightJSONL,
 	// WritePrometheus, WriteSnapshotJSON). When off, instrumented hot paths
 	// pay a single pointer test and schedules are bit-identical to an
 	// uninstrumented build.
 	Obs bool
-	// ObsSpanCapacity bounds the span ring (default 4096).
-	ObsSpanCapacity int
 	// ObsFlightCapacity bounds each flight-recorder shard (default 1024).
 	ObsFlightCapacity int
-	// ObsSeriesCapacity bounds each time-series ring (default 512).
-	ObsSeriesCapacity int
 	// ObsSampleEvery is the parallel-mode sampling period (default 5ms);
 	// deterministic machines sample at collector cycle ends instead.
 	ObsSampleEvery time.Duration
@@ -183,9 +172,6 @@ type Options struct {
 	// which machine served it. Implies tracing; sampling decisions are
 	// then the sink owner's (originate contexts via EvalNodeTraced).
 	TraceSink *obs.TraceSink
-	// TraceSpanCapacity bounds the private trace sink's span ring
-	// (default 1<<16); ignored when TraceSink is supplied.
-	TraceSpanCapacity int
 
 	// Check enables the always-on invariant checker: marking invariants
 	// (Figure 4-2), inflight conservation, band consistency, and mt-cnt
@@ -256,7 +242,6 @@ type Machine struct {
 	collector *core.Collector
 	counters  *metrics.Counters
 	fab       *fabric.Fabric
-	tracer    *trace.Tracer
 	checker   *check.Checker
 	recorder  *check.Recorder
 	obs       *obs.Obs
@@ -286,10 +271,6 @@ func New(opts Options) *Machine {
 	if opts.Parallel {
 		mode = sched.Parallel
 	}
-	var tracer *trace.Tracer
-	if opts.TraceCapacity > 0 {
-		tracer = trace.NewTracer(opts.TraceCapacity)
-	}
 	// The observability layer's sources close over the machine and collector
 	// assigned below (the same late-binding pattern the checker uses): no
 	// source is read until a collector cycle runs or the sampler starts,
@@ -301,9 +282,7 @@ func New(opts Options) *Machine {
 		ob = obs.New(obs.Options{
 			PEs:            opts.PEs,
 			Parallel:       opts.Parallel,
-			SpanCapacity:   opts.ObsSpanCapacity,
 			FlightCapacity: opts.ObsFlightCapacity,
-			SeriesCapacity: opts.ObsSeriesCapacity,
 			SampleEvery:    opts.ObsSampleEvery,
 			KindNames:      task.KindNameTable(),
 			Sources: obs.Sources{
@@ -326,7 +305,7 @@ func New(opts Options) *Machine {
 	// vertex-carried propagation.
 	lineage := opts.TraceSink
 	if lineage == nil && opts.TraceRate > 0 {
-		lineage = obs.NewTraceSink(opts.TraceSpanCapacity, opts.TraceRate)
+		lineage = obs.NewTraceSink(0, opts.TraceRate)
 	}
 	var fab *fabric.Fabric
 	if opts.Fabric {
@@ -340,9 +319,7 @@ func New(opts Options) *Machine {
 			Jitter:      opts.Jitter,
 			DropRate:    opts.DropRate,
 			ReorderRate: opts.ReorderRate,
-			RetryEvery:  opts.RetryEvery,
 			Counters:    counters,
-			Tracer:      tracer,
 			Obs:         ob,
 			Trace:       lineage,
 		})
@@ -359,7 +336,6 @@ func New(opts Options) *Machine {
 		Seed:        opts.Seed,
 		Adversarial: opts.Adversarial,
 		Steal:       opts.Parallel && !opts.DisableSteal,
-		StealBatch:  opts.StealBatch,
 		PartOf:      store.PartitionOf,
 		Counters:    counters,
 		Fabric:      fab,
@@ -383,7 +359,7 @@ func New(opts Options) *Machine {
 	if opts.Check {
 		checker = &check.Checker{
 			Store: store, Marker: marker, Mach: mach,
-			Counters: counters, Tracer: tracer,
+			Counters: counters, Obs: ob,
 			Every: uint64(opts.CheckEvery), Parallel: opts.Parallel,
 		}
 	}
@@ -430,7 +406,7 @@ func New(opts Options) *Machine {
 		opts: opts, store: store, mach: mach, marker: marker,
 		mut: mut, engine: engine, prog: prog, collector: collector,
 		counters: counters,
-		fab:      fab, tracer: tracer, checker: checker, recorder: recorder,
+		fab:      fab, checker: checker, recorder: recorder,
 		obs: ob, lineage: lineage,
 	}
 	if checker != nil && (ob != nil || lineage != nil) {
@@ -855,15 +831,6 @@ func (m *Machine) FabricStats() []fabric.LinkStat {
 	return m.fab.LinkStats()
 }
 
-// WriteTraceJSONL writes the retained machine events (message lifecycle
-// included) as JSON Lines. It errors unless Options.TraceCapacity was set.
-func (m *Machine) WriteTraceJSONL(w io.Writer) error {
-	if m.tracer == nil {
-		return errors.New("dgr: tracing disabled (set Options.TraceCapacity)")
-	}
-	return m.tracer.WriteJSONL(w)
-}
-
 // TraceSink returns the machine's lineage sink (shared or private), or nil
 // when lineage tracing is off.
 func (m *Machine) TraceSink() *obs.TraceSink { return m.lineage }
@@ -892,8 +859,8 @@ func (m *Machine) WriteSpansJSONL(w io.Writer) error {
 }
 
 // WriteFlightJSONL writes the flight recorder's retained events (recent
-// executions and collector/fabric activity, timestamp-merged) as JSON
-// Lines. It errors unless Options.Obs is on.
+// executions, collector/fabric activity and invariant violations,
+// timestamp-merged) as JSON Lines. It errors unless Options.Obs is on.
 func (m *Machine) WriteFlightJSONL(w io.Writer) error {
 	if m.obs == nil {
 		return errObsDisabled
@@ -1013,7 +980,7 @@ func (m *Machine) WriteGraphDOT(w io.Writer) error {
 	for _, id := range m.collector.Deadlocked() {
 		hl[id] = "red"
 	}
-	return trace.WriteDOT(w, m.store.Snapshot(), m.collector.Root(), trace.DOTOptions{
+	return graph.WriteDOT(w, m.store.Snapshot(), m.collector.Root(), graph.DOTOptions{
 		Highlight: hl,
 	})
 }

@@ -175,19 +175,20 @@ func TestFabricLinkStats(t *testing.T) {
 	}
 }
 
-// TestFabricTraceJSONL evaluates under a lossy fabric with tracing on and
-// checks the JSONL export is well-formed and includes the fabric message
-// lifecycle.
+// TestFabricTraceJSONL evaluates under a lossy fabric with obs on and
+// checks the flight recorder's JSONL export is well-formed and includes the
+// fabric message lifecycle.
 func TestFabricTraceJSONL(t *testing.T) {
 	opts := lossyFabricOpts(9)
-	opts.TraceCapacity = 1 << 16
+	opts.Obs = true
+	opts.ObsFlightCapacity = 1 << 14
 	m := New(opts)
 	defer m.Close()
 	if _, err := m.Eval(workload.Programs["tak"].Src); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := m.WriteTraceJSONL(&buf); err != nil {
+	if err := m.WriteFlightJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	kinds := make(map[string]int)
@@ -195,7 +196,6 @@ func TestFabricTraceJSONL(t *testing.T) {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		var e struct {
-			Seq  uint64 `json:"seq"`
 			Kind string `json:"kind"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
@@ -210,11 +210,5 @@ func TestFabricTraceJSONL(t *testing.T) {
 		if kinds[k] == 0 {
 			t.Errorf("no %s events in trace: %v", k, kinds)
 		}
-	}
-
-	m2 := New(Options{PEs: 2})
-	defer m2.Close()
-	if err := m2.WriteTraceJSONL(&buf); err == nil {
-		t.Fatal("WriteTraceJSONL should error without TraceCapacity")
 	}
 }

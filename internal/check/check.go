@@ -30,9 +30,9 @@ import (
 	"dgr/internal/core"
 	"dgr/internal/graph"
 	"dgr/internal/metrics"
+	"dgr/internal/obs"
 	"dgr/internal/sched"
 	"dgr/internal/task"
-	"dgr/internal/trace"
 )
 
 // maxViolations caps the retained violation list; once full the checker
@@ -48,7 +48,10 @@ type Checker struct {
 	Marker   *core.Marker
 	Mach     *sched.Machine
 	Counters *metrics.Counters // optional: check counters land here
-	Tracer   *trace.Tracer     // optional: check.violation events land here
+	// Obs, when set, receives each retained violation as a check.violation
+	// flight-recorder event before OnViolation fires, so a violation dump
+	// names the broken invariant.
+	Obs *obs.Obs
 	// Coll, when set, enables the confirmed-verdict invariant: a vertex the
 	// collector has CONFIRMED deadlocked (two-phase verdict) can never reduce
 	// again, so it must not be freed, must not hold a value, and must not be
@@ -369,14 +372,11 @@ func (c *Checker) report(point string, errs []string) {
 		if len(c.violations) >= maxViolations {
 			break
 		}
-		c.violations = append(c.violations, point+": "+e)
+		v := point + ": " + e
+		c.violations = append(c.violations, v)
+		c.Obs.Event(obs.TIDCollector, "check.violation", 0, 0, v)
 	}
 	c.mu.Unlock()
-	if c.Tracer != nil {
-		for _, e := range errs {
-			c.Tracer.Record("check.violation", 0, 0, point+": "+e)
-		}
-	}
 	if c.OnViolation != nil {
 		c.OnViolation()
 	}

@@ -9,6 +9,7 @@ import (
 	"dgr/internal/core"
 	"dgr/internal/graph"
 	"dgr/internal/metrics"
+	"dgr/internal/obs"
 	"dgr/internal/sched"
 	"dgr/internal/task"
 )
@@ -269,5 +270,28 @@ func TestCheckerSkipsUnstableSample(t *testing.T) {
 	}
 	if c.CheckSkipped.Load() != 1 {
 		t.Fatalf("skipped = %d, want 1", c.CheckSkipped.Load())
+	}
+}
+
+// TestViolationEventsCapped asserts that violations reach the flight
+// recorder before OnViolation fires, and that a fault storm records no more
+// than the retained maxViolations (so it cannot flush the ring).
+func TestViolationEventsCapped(t *testing.T) {
+	ob := obs.New(obs.Options{PEs: 1})
+	var atHook int
+	c := &Checker{Obs: ob}
+	c.OnViolation = func() { atHook = len(ob.FlightEvents()) }
+	storm := make([]string, 2*maxViolations)
+	for i := range storm {
+		storm[i] = "invariant broken"
+	}
+	c.report("cycle#1", storm)
+	c.report("cycle#2", storm)
+	evs := ob.FlightEvents()
+	if len(evs) != maxViolations || atHook != maxViolations {
+		t.Fatalf("flight events = %d (%d at OnViolation), want %d", len(evs), atHook, maxViolations)
+	}
+	if evs[0].Kind != "check.violation" || evs[0].Note != "cycle#1: invariant broken" {
+		t.Fatalf("first event = %+v", evs[0])
 	}
 }

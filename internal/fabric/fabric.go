@@ -15,9 +15,9 @@
 //   - Fault injection: per-link latency, jitter, reorder, and drop
 //     probability. Delivery is at-least-once: batches carry per-link
 //     sequence numbers, the receiver acks, the sender retransmits unacked
-//     batches after RetryEvery, and the receiver dedups by sequence number,
-//     so every task is delivered into its pool exactly once even at 10%
-//     drop.
+//     batches after 2·FlushEvery + 4·(LinkLatency+Jitter) (at least 1ms),
+//     and the receiver dedups by sequence number, so every task is
+//     delivered into its pool exactly once even at 10% drop.
 //
 //   - Observability: per-link sent/delivered/dropped/retried/batched
 //     counters and an enqueue→delivery latency histogram, mirrored into the
@@ -45,11 +45,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dgr/internal/graph"
 	"dgr/internal/metrics"
 	"dgr/internal/obs"
 	"dgr/internal/task"
-	"dgr/internal/trace"
 )
 
 // maxDropRate caps fault injection so retransmission always makes progress.
@@ -67,11 +65,8 @@ type Config struct {
 	Jitter      time.Duration // additional uniform random latency
 	DropRate    float64       // per-transmission loss probability, clamped to 0.95
 	ReorderRate float64       // probability a batch is held back behind later traffic
-	RetryEvery  time.Duration // retransmit an unacked batch after this long
-	// (default 2·FlushEvery + 4·(LinkLatency+Jitter), at least 1ms)
 
 	Counters *metrics.Counters // optional shared counters
-	Tracer   *trace.Tracer     // optional event log (fab.* events)
 	// Obs, when non-nil, receives the fab.* events into the flight recorder
 	// and a "fab-batch" span per delivered batch (flush to first delivery).
 	// Nil-safe.
@@ -92,12 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlushEvery <= 0 {
 		c.FlushEvery = 100 * time.Microsecond
-	}
-	if c.RetryEvery <= 0 {
-		c.RetryEvery = 2*c.FlushEvery + 4*(c.LinkLatency+c.Jitter)
-		if c.RetryEvery < time.Millisecond {
-			c.RetryEvery = time.Millisecond
-		}
 	}
 	if c.DropRate < 0 {
 		c.DropRate = 0
@@ -179,7 +168,11 @@ func New(cfg Config) *Fabric {
 	f.flushD = f.delta(cfg.FlushEvery)
 	f.latD = f.delta(cfg.LinkLatency)
 	f.jitD = f.delta(cfg.Jitter)
-	f.retryD = f.delta(cfg.RetryEvery)
+	retry := 2*cfg.FlushEvery + 4*(cfg.LinkLatency+cfg.Jitter)
+	if retry < time.Millisecond {
+		retry = time.Millisecond
+	}
+	f.retryD = f.delta(retry)
 	f.links = make([]*link, cfg.PEs*cfg.PEs)
 	for s := 0; s < cfg.PEs; s++ {
 		for d := 0; d < cfg.PEs; d++ {
@@ -760,8 +753,5 @@ func (f *Fabric) LinkStats() []LinkStat {
 }
 
 func (f *Fabric) traceEvent(kind string, lk *link, note string) {
-	if f.cfg.Tracer != nil {
-		f.cfg.Tracer.Record(kind, graph.VertexID(lk.from), graph.VertexID(lk.to), note)
-	}
 	f.cfg.Obs.Event(obs.TIDFabric, kind, uint64(lk.from), uint64(lk.to), note)
 }

@@ -7,8 +7,8 @@ import (
 
 	"dgr/internal/graph"
 	"dgr/internal/metrics"
+	"dgr/internal/obs"
 	"dgr/internal/task"
-	"dgr/internal/trace"
 )
 
 // sink collects deliveries per destination PE.
@@ -209,10 +209,10 @@ func TestEachAndExpunge(t *testing.T) {
 }
 
 func TestLinkStatsAndTrace(t *testing.T) {
-	tr := trace.NewTracer(1024)
+	ob := obs.New(obs.Options{PEs: 2})
 	s := newSink()
 	f := New(Config{PEs: 2, Seed: 3, BatchSize: 2, FlushEvery: 5 * time.Microsecond,
-		DropRate: 0.3, Tracer: tr})
+		DropRate: 0.3, Obs: ob})
 	f.SetDeliver(s.deliver)
 	for i := 0; i < 40; i++ {
 		f.Enqueue(0, 1, tk(1, 2))
@@ -229,7 +229,7 @@ func TestLinkStatsAndTrace(t *testing.T) {
 		t.Fatalf("missing loss or latency samples: %+v", st[0])
 	}
 	kinds := make(map[string]int)
-	for _, e := range tr.Events() {
+	for _, e := range ob.FlightEvents() {
 		kinds[e.Kind]++
 	}
 	for _, k := range []string{"fab.flush", "fab.deliver", "fab.drop", "fab.retry"} {

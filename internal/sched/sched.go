@@ -126,9 +126,6 @@ type Config struct {
 	// sees every pool, and schedules must stay byte-identical to the
 	// recorded goldens).
 	Steal bool
-	// StealBatch caps the number of tasks one steal operation moves
-	// (default 32); a steal takes at most half the victim's queue.
-	StealBatch int
 
 	// Obs, when non-nil, receives per-execution timing, batch spans, and
 	// idle transitions. Every call is a nil-safe no-op when unset, so the
@@ -234,9 +231,6 @@ func New(cfg Config) *Machine {
 	}
 	if cfg.PartOf == nil {
 		panic("sched: Config.PartOf is required")
-	}
-	if cfg.StealBatch <= 0 {
-		cfg.StealBatch = defaultStealBatch
 	}
 	m := &Machine{
 		cfg:   cfg,
@@ -770,15 +764,15 @@ func (m *Machine) peLoop(i int) {
 // for park, doubling from stealParkMin to stealParkMax while nothing turns
 // up so a genuinely quiescent machine does not spin.
 const (
-	stealParkMin      = 50 * time.Microsecond
-	stealParkMax      = 2 * time.Millisecond
-	defaultStealBatch = 32
+	stealParkMin  = 50 * time.Microsecond
+	stealParkMax  = 2 * time.Millisecond
+	stealBatchCap = 32 // most tasks one steal moves
 )
 
 // stealFor moves a batch of tasks from the most-loaded peer's pool into PE
 // pe's, reporting whether anything was stolen. Victims need at least two
 // queued tasks (taking an owner's only task just migrates latency), and a
-// steal takes at most half the victim's queue, capped at StealBatch.
+// steal takes at most half the victim's queue, capped at stealBatchCap.
 func (m *Machine) stealFor(pe int) bool {
 	victim, best := -1, 1
 	for j := range m.pools {
@@ -793,8 +787,8 @@ func (m *Machine) stealFor(pe int) bool {
 		return false
 	}
 	batch := best / 2
-	if batch > m.cfg.StealBatch {
-		batch = m.cfg.StealBatch
+	if batch > stealBatchCap {
+		batch = stealBatchCap
 	}
 	// For traced tasks, a steal is a causal hop worth a span: it explains
 	// why the task's remaining queue wait happened on the thief's pool.

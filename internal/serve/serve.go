@@ -107,9 +107,10 @@ type Options struct {
 	// trace sink across the whole pool, assembled (with critical-path
 	// blame) at /debug/traces.json. 0 disables tracing.
 	TraceRate float64
-	// TraceCapacity bounds the shared sink's span ring (default 1<<17).
-	TraceCapacity int
 }
+
+// traceCapacity bounds the shared lineage sink's span ring.
+const traceCapacity = 1 << 17
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -138,9 +139,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.JobHistory <= 0 {
 		o.JobHistory = 4096
-	}
-	if o.TraceCapacity <= 0 {
-		o.TraceCapacity = 1 << 17
 	}
 	return o
 }
@@ -309,7 +307,7 @@ func New(opts Options) *Server {
 		cache:   newMemoCache(opts.CacheEntries),
 	}
 	if opts.TraceRate > 0 {
-		s.trace = obs.NewTraceSink(opts.TraceCapacity, opts.TraceRate)
+		s.trace = obs.NewTraceSink(traceCapacity, opts.TraceRate)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for b := range s.credits {

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"dgr"
+	"dgr/internal/workload"
 )
 
 func TestObsSpansAndExposition(t *testing.T) {
@@ -171,6 +172,57 @@ func TestObsFlightDumpOnDeadlock(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"kind":"demand"`) {
 		t.Errorf("dump missing scheduler execution events:\n%.400s", data)
+	}
+}
+
+// TestObsFlightDumpOnViolation arms the mark-skip fault injector (as
+// dgr-check -inject does) and asserts that the violation-triggered flight
+// dump names the violated invariant: the checker writes its check.violation
+// events into the flight recorder before the dump fires.
+func TestObsFlightDumpOnViolation(t *testing.T) {
+	dir := t.TempDir()
+	m := dgr.New(dgr.Options{
+		PEs: 4, Seed: 7, Check: true, CheckEvery: 1 << 30, GCInterval: 500,
+		Capacity: 1 << 12, FaultSkipMark: 3,
+		ObsFlightDir: dir, // implies Obs
+	})
+	defer m.Close()
+	m.Eval(workload.Programs["churn"].Src) // outcome irrelevant: the run is deliberately corrupted
+	violations := m.CheckViolations()
+	if len(violations) == 0 {
+		t.Fatal("injected mark-skip fault not caught")
+	}
+	matches, err := filepath.Glob(filepath.Join(dir, "dgr-flight-violation-*.jsonl"))
+	if err != nil || len(matches) != 1 {
+		t.Fatalf("flight dump files = %v (err %v), want exactly one", matches, err)
+	}
+	f, err := os.Open(matches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var notes []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if !strings.Contains(sc.Text(), `"kind":"check.violation"`) {
+			continue
+		}
+		var e struct {
+			Note string `json:"note"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
+		}
+		notes = append(notes, e.Note)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(notes) == 0 {
+		t.Fatal("violation dump has no check.violation event")
+	}
+	if notes[0] != violations[0] {
+		t.Errorf("dump's first violation = %q, want the checker's first %q", notes[0], violations[0])
 	}
 }
 
